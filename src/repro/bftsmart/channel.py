@@ -7,8 +7,7 @@ deployment. Receivers that fail verification drop the message silently
 
 Hot-path layout
 ---------------
-Sealing goes through :func:`repro.wire.encode_cached`, so a message
-broadcast (or retransmitted) repeatedly is serialized once and the same
+A message sent to several receivers is encoded once and the same
 payload ``bytes`` object is shared by every receiver's envelope. That
 identity sharing is what makes the downstream identity-keyed caches hit:
 the digest LRU (PROPOSE value hashing) and the decode-share LRU here,
@@ -28,7 +27,7 @@ from repro.crypto import Authenticator, KeyStore
 from repro.crypto.mac import MAC_SIZE
 from repro.net.endpoint import Endpoint
 from repro.perf import PERF
-from repro.wire import DecodeError, decode, encode_cached, uvarint_size
+from repro.wire import DecodeError, decode, encode, uvarint_size
 from repro.wire.codec import _is_frozen_dataclass
 
 #: ``1`` dataclass tag + varint type id + ``1`` field-count byte of Sealed.
@@ -161,7 +160,7 @@ class SecureChannel:
     # -- sending -------------------------------------------------------------
 
     def seal(self, message, receivers: list) -> Sealed:
-        payload = encode_cached(message).payload
+        payload = encode(message)
         if PERF.decode_share:
             _seed_decoded(payload, message)
         mac = self.auth.mac
@@ -201,7 +200,7 @@ class SecureChannel:
             for receiver in receivers:
                 self.send(receiver, message)
             return
-        payload = encode_cached(message).payload
+        payload = encode(message)
         if PERF.decode_share:
             _seed_decoded(payload, message)
         kind = type(message).__name__

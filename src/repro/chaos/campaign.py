@@ -126,9 +126,6 @@ class CampaignConfig:
     fleet: bool = False
     #: SLO objectives; ``None`` = :func:`repro.obs.slo.default_fleet_slos`.
     slo_specs: tuple | None = None
-    #: Simulation kernel override (``"heap"``/``"ring"``; ``None`` =
-    #: the process default), for kernel-parity campaigns.
-    kernel: str | None = None
 
     def scada_config(self) -> SmartScadaConfig:
         return SmartScadaConfig(
@@ -453,7 +450,7 @@ def run_campaign(
         )
     monitors = monitors if monitors is not None else default_monitors()
 
-    sim = Simulator(seed=config.seed, kernel=config.kernel)
+    sim = Simulator(seed=config.seed)
     # Healing needs the detector, which needs the span stream.
     ids_active = config.ids or config.heal
     tracer = None

@@ -1,13 +1,14 @@
 """Hot-path optimisation switches and cache accounting.
 
-The caching layers introduced by the performance pass (codec memoization,
-HMAC templates, digest LRU, serialize-once broadcast with precomputed
-envelope sizes, shared decode of multicast payloads) are all
-*behaviour-invisible*: with a fixed seed, a run produces byte-identical
-encodings, digests and event orders whether they are on or off. This
-module is the single place that can disable them, which is what the
-wall-clock profiler (:mod:`repro.workloads.profiler`) uses to measure the
-un-optimised baseline and the optimised pipeline inside one process.
+The caching layers introduced by the performance pass (string-chunk
+encoding cache, HMAC templates, digest LRU, serialize-once broadcast
+with precomputed envelope sizes, shared decode of multicast payloads)
+are all *behaviour-invisible*: with a fixed seed, a run produces
+byte-identical encodings, digests and event orders whether they are on
+or off. This module is the single place that can disable them, which is
+what the wall-clock profiler (:mod:`repro.workloads.profiler`) uses to
+measure the un-optimised baseline and the optimised pipeline inside one
+process.
 
 Each switch also carries hit/miss counters so ``BENCH_PERF.json`` can
 report how effective every cache was during a measured run.
@@ -15,7 +16,6 @@ report how effective every cache was during a measured run.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 
@@ -60,7 +60,6 @@ class PerfSwitches:
         "signing_cache",
         "fast_delivery",
         "codec_scratch",
-        "kernel",
         "stats",
     )
 
@@ -75,18 +74,7 @@ class PerfSwitches:
         self.signing_cache = True
         self.fast_delivery = True
         self.codec_scratch = True
-        #: Which event-kernel implementation ``Simulator(...)`` builds:
-        #: ``"heap"`` (the reference binary-heap kernel) or ``"ring"``
-        #: (the flat-array timer-wheel kernel, ``repro.sim.fastkernel``).
-        #: Seeded from ``REPRO_KERNEL`` so a whole test run can be
-        #: switched from the environment (the CI kernel-parity job).
-        #: Deliberately *not* part of ``set_all``/``enabled_map``: it
-        #: selects an implementation, it is not an on/off cache, and the
-        #: baseline-vs-optimised profiler toggling must not swap kernels
-        #: mid-comparison.
-        self.kernel = os.environ.get("REPRO_KERNEL", "heap")
         self.stats: dict[str, CacheStats] = {
-            "codec_encode": CacheStats(),
             "digest": CacheStats(),
             "mac": CacheStats(),
             "decode_share": CacheStats(),

@@ -140,17 +140,24 @@ class GlobalAeMerger:
             self.stats["peak_buffer"] = len(self._pending)
         if not self._timer_armed:
             self._timer_armed = True
-            self.sim.defer(self.holdback, self._on_timer)
+            self.sim.defer(self.holdback, self._on_timer, self.sim.now)
 
-    def _on_timer(self) -> None:
+    def _on_timer(self, due: float) -> None:
+        """Release what has matured, including everything stamped <= ``due``.
+
+        ``due`` is the timestamp the timer was armed for. ``now - holdback``
+        alone can round to just below it (``(t + h) - h < t`` in floats),
+        and a timer that fires for the oldest entry without releasing it
+        would re-arm with a zero delay forever.
+        """
         self._timer_armed = False
-        self._release_due(self.sim.now - self.holdback)
+        self._release_due(max(self.sim.now - self.holdback, due))
         if self._pending:
             # Wake exactly when the oldest buffered event matures.
             oldest = min(entry[0][0] for entry in self._pending)
             delay = max(oldest + self.holdback - self.sim.now, 0.0)
             self._timer_armed = True
-            self.sim.defer(delay, self._on_timer)
+            self.sim.defer(delay, self._on_timer, oldest)
 
     def _release_due(self, watermark: float) -> None:
         due = [entry for entry in self._pending if entry[0][0] <= watermark]

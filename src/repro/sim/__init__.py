@@ -8,7 +8,6 @@ generators are all processes and callbacks scheduled on one
 
 from repro.sim.channels import Channel, ChannelClosed
 from repro.sim.events import AllOf, AnyOf, Event, ScheduledCall, Timeout
-from repro.sim.fastkernel import RingSimulator
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import Interrupted, Process
 from repro.sim.rng import RngRegistry
@@ -21,7 +20,6 @@ __all__ = [
     "Event",
     "Interrupted",
     "Process",
-    "RingSimulator",
     "RngRegistry",
     "ScheduledCall",
     "SimulationError",

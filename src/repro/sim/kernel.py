@@ -14,6 +14,12 @@ had to guard against. :meth:`Simulator.stats` surfaces the counters
 (dispatches, cancellations, tombstones skipped, peak heap size) that the
 wall-clock profiler reports.
 
+An event and its entry point at each other while the entry is pending
+(``event._entry`` for O(1) cancellation, ``entry.event`` for dispatch).
+Both dispatch and cancellation drop the ``entry.event`` side, so a
+finished event is freed by reference counting alone and never becomes
+work for the cyclic garbage collector (``tests/test_gc_acyclic.py``).
+
 Time is a float in **seconds** of simulated time.
 """
 
@@ -42,11 +48,11 @@ class SimulationError(RuntimeError):
 def _reject_delay(delay) -> None:
     """Raise the canonical error for a delay that failed the range check.
 
-    Both kernels guard their scheduling paths with the same one chained
-    comparison (``not 0.0 <= delay < _INF`` rejects negatives, +inf and
-    nan alike — nan compares false against everything, which would
-    silently corrupt event ordering if it ever got in) and call this
-    shared classifier, so the two error messages cannot drift apart.
+    Every scheduling path guards with the same one chained comparison
+    (``not 0.0 <= delay < _INF`` rejects negatives, +inf and nan alike —
+    nan compares false against everything, which would silently corrupt
+    event ordering if it ever got in) and calls this shared classifier,
+    so the error messages cannot drift apart.
     """
     if isinstance(delay, (int, float)) and delay < 0:
         raise SimulationError(f"cannot schedule {delay}s into the past")
@@ -86,32 +92,9 @@ class Simulator:
     ----------
     seed:
         Root seed for all named RNG streams (see :class:`RngRegistry`).
-    kernel:
-        Which kernel implementation backs this simulator: ``"heap"``
-        (this class — the reference implementation) or ``"ring"``
-        (:class:`repro.sim.fastkernel.RingSimulator`, the flat-array
-        timer-wheel kernel). ``None`` defers to ``repro.perf.PERF.kernel``,
-        which itself defaults to the ``REPRO_KERNEL`` environment
-        variable, so a whole test run can be switched without touching
-        any construction site.
     """
 
-    def __new__(cls, seed: int = 0, kernel: str | None = None):
-        if cls is Simulator:
-            if kernel is None:
-                from repro.perf import PERF
-
-                kernel = PERF.kernel
-            if kernel == "ring":
-                # Imported lazily: fastkernel imports this module.
-                from repro.sim.fastkernel import RingSimulator
-
-                return object.__new__(RingSimulator)
-            if kernel != "heap":
-                raise ValueError(f"unknown kernel {kernel!r} (use 'heap' or 'ring')")
-        return object.__new__(cls)
-
-    def __init__(self, seed: int = 0, kernel: str | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._heap: list[_HeapEntry] = []
         self._seq = 0
@@ -135,11 +118,6 @@ class Simulator:
         #: The installed :class:`repro.obs.trace.SpanTracer`, or ``None``
         #: (the default — every tracing hook is then a no-op guard check).
         self.tracer = None
-        #: Debug hook: set to a list *before* calling :meth:`run` and the
-        #: kernel appends one ``(when, priority, seq)`` triple per
-        #: dispatch. Both kernels implement it, which is how the
-        #: dual-kernel determinism test asserts schedule equality.
-        self._schedule_log = None
 
     @property
     def now(self) -> float:
@@ -208,11 +186,10 @@ class Simulator:
     def defer(self, delay: float, fn: Callable, *args) -> None:
         """Fire-and-forget ``call_later``: no handle, nothing returned.
 
-        This is the portable spelling of the hottest scheduling pattern
-        (network deliveries, periodic ticks) — callers that never cancel
-        should use it so the ring kernel can skip slot/handle bookkeeping
-        entirely. On this kernel it is ``call_later`` minus the returned
-        reference; the event order and seq consumption are identical.
+        The spelling of the hottest scheduling pattern (network
+        deliveries, periodic ticks) for callers that never cancel: it is
+        ``call_later`` minus the returned reference, with the identical
+        event order and seq consumption.
         """
         self.call_later(delay, fn, *args)
 
@@ -220,9 +197,8 @@ class Simulator:
         """Schedule a cancellable ``fn(*args)`` and return an opaque handle.
 
         The handle is only meaningful to :meth:`cancel_timer` of the same
-        simulator. On this kernel it is the :class:`ScheduledCall` itself;
-        the ring kernel returns a packed integer instead — callers must
-        treat it as opaque (truthy, not-None) either way.
+        simulator. It is the :class:`ScheduledCall` itself, but callers
+        treat it as opaque (truthy, not-None).
         """
         return self.call_later(delay, fn, *args)
 
@@ -267,7 +243,6 @@ class Simulator:
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
-        sched_log = self._schedule_log
         try:
             while heap:
                 if stop_on is not None and stop_on.processed:
@@ -284,9 +259,10 @@ class Simulator:
                 heappop(heap)
                 self._now = when
                 self.dispatched += 1
-                if sched_log is not None:
-                    sched_log.append((when, entry.priority, entry.seq))
-                entry.event._dispatch()
+                # Break the entry<->event cycle before dispatching.
+                event = entry.event
+                entry.event = None
+                event._dispatch()
             else:
                 if until is not None and until > self._now:
                     self._now = until

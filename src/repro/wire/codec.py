@@ -13,12 +13,15 @@ per-codec table instead of walking an ``isinstance`` chain; dataclass and
 enum encoders are built once per class with their type-id prefix bytes
 precomputed and the field list pre-resolved from the registry.
 ``encode_into`` appends to a caller-owned buffer, skipping the final
-``bytes(bytearray)`` copy, and :func:`encode_cached` memoizes whole-message
-encodings of immutable (frozen-dataclass) messages on the message object
-itself, wrapped in :class:`EncodedMessage` so the payload's content digest
-is computed at most once. All caching is behaviour-invisible: the memoized
-path returns byte-identical output to a fresh encode (see
+``bytes(bytearray)`` copy, and the TLV chunk of each distinct string is
+cached. All caching is behaviour-invisible: the cached paths return
+byte-identical output to a fresh encode (see
 ``tests/test_wire_codec_caching.py``).
+
+Whole messages are deliberately not memoized: a memo stored on the
+message object forms a reference cycle (message -> encoding -> message)
+per sealed message, which only the cyclic garbage collector can free,
+and on the benchmark workloads it hit on about 0% of encodes.
 """
 
 from __future__ import annotations
@@ -549,15 +552,14 @@ def decode_from(data, pos: int = 0) -> tuple:
     return DEFAULT_CODEC.decode_from(data, pos)
 
 
-# -- memoized whole-message encoding ----------------------------------------
+# -- whole-message encoding with a lazy digest ------------------------------
 
 
 class EncodedMessage:
     """A message together with its canonical encoding and lazy digest.
 
-    Broadcast paths pass one :class:`EncodedMessage` around instead of
-    re-encoding per receiver; the truncated content digest (what PROPOSE
-    hashing and reply voting compare) is computed on first access only.
+    The truncated content digest (what PROPOSE hashing and reply voting
+    compare) is computed on first access only.
     """
 
     __slots__ = ("message", "payload", "_digest")
@@ -585,21 +587,9 @@ class EncodedMessage:
         )
 
 
-#: Attribute under which a frozen message memoizes its own encoding. The
-#: memo lives exactly as long as the object, so the paths that genuinely
-#: re-encode one object — client retransmissions, duplicate-request reply
-#: resends, leader-change re-proposals — always hit, with no shared cache
-#: to churn or evict. (A global id-keyed LRU here was measurably dead: the
-#: per-send traffic between two encodes of the same long-lived object
-#: evicted it every time — 0 hits against ~100k misses per benchmark run.)
-_MEMO_ATTR = "_encoded_memo"
-_ENCODE_STATS = PERF.stats["codec_encode"]
-
-#: Classes whose instances cannot take the memo attribute (``__slots__``).
-_UNMEMOIZABLE: set[type] = set()
-
-#: Per-class eligibility for memoization (only frozen dataclasses, whose
-#: identity pins their content).
+#: Per-class immutability (frozen dataclasses, whose identity pins their
+#: content): what the channel's decode-share cache may hand to several
+#: receivers.
 _FROZEN_CLASS: dict[type, bool] = {}
 
 
@@ -613,35 +603,13 @@ def _is_frozen_dataclass(cls: type) -> bool:
 
 
 def encode_cached(message) -> EncodedMessage:
-    """Encode ``message`` (default codec), memoizing immutable messages.
+    """Encode ``message`` (default codec) into an :class:`EncodedMessage`.
 
-    Only frozen-dataclass instances are memoized — their immutability pins
-    their content — and the memo is stored on the message object itself,
-    so the payload is byte-identical to a fresh encode by construction and
-    the memo's lifetime is exactly the object's.
+    A fresh encode every call: nothing is memoized on the message.
     """
-    if not PERF.codec_cache or not _is_frozen_dataclass(message.__class__):
-        return EncodedMessage(message, DEFAULT_CODEC.encode(message))
-    memo = getattr(message, "__dict__", None)
-    cached = memo.get(_MEMO_ATTR) if memo is not None else None
-    if cached is not None:
-        _ENCODE_STATS.hits += 1
-        return cached
-    _ENCODE_STATS.misses += 1
-    encoded = EncodedMessage(message, DEFAULT_CODEC.encode(message))
-    if message.__class__ not in _UNMEMOIZABLE:
-        try:
-            # Frozen dataclasses block plain setattr; going through
-            # object.__setattr__ stores the memo without touching any
-            # wire field (dataclass __eq__/__repr__/fields ignore it).
-            object.__setattr__(message, _MEMO_ATTR, encoded)
-        except AttributeError:
-            _UNMEMOIZABLE.add(message.__class__)
-    return encoded
+    return EncodedMessage(message, DEFAULT_CODEC.encode(message))
 
 
 def clear_encode_cache() -> None:
-    # Encodings are memoized on the message objects themselves now, so
-    # there is no global encode table left to drop — clearing for a cold
-    # measurement is a per-object affair handled by using fresh messages.
+    """Drop the string-chunk cache (for a cold measurement)."""
     _STR_ENC_CACHE.clear()

@@ -203,29 +203,6 @@ def test_client_retransmission_survives_message_loss():
     assert proxy.stats["retransmissions"] >= 1
 
 
-def test_retransmission_reuses_memoized_encoding():
-    """Re-sending a request must hit the encode memo, not re-serialize.
-
-    The proxy keeps the signed :class:`ClientRequest` object for the
-    lifetime of the invocation, so every retransmission re-seals the same
-    object — the per-object encode memo turns those into cache hits
-    (the historical global LRU evicted them first: 0 hits per run).
-    """
-    from repro.perf import PERF, clear_hot_path_caches
-
-    sim, net, keystore, config = make_world()
-    build_group(sim, net, config, CounterService, keystore)
-    proxy = build_proxy(sim, net, "client-1", config, keystore, invoke_timeout=0.2)
-    net.faults.add(Drop(kind="ClientRequest", max_count=4))
-    clear_hot_path_caches()
-    stats = PERF.stats["codec_encode"]
-    assert run_adds(sim, proxy, 3) == 3
-    assert proxy.stats["retransmissions"] >= 1
-    assert stats.hits > 0
-    total = stats.hits + stats.misses
-    assert stats.hits / total > 0.0  # the cache is no longer dead
-
-
 def test_duplicate_requests_execute_once():
     sim, net, keystore, config = make_world()
     replicas = build_group(sim, net, config, CounterService, keystore)
