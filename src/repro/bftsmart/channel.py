@@ -28,7 +28,7 @@ from repro.crypto.mac import MAC_SIZE
 from repro.net.endpoint import Endpoint
 from repro.perf import PERF
 from repro.wire import DecodeError, decode, encode, uvarint_size
-from repro.wire.codec import _is_frozen_dataclass
+from repro.wire.codec import DEFAULT_CODEC, _is_frozen_dataclass
 
 #: ``1`` dataclass tag + varint type id + ``1`` field-count byte of Sealed.
 _SEALED_PREFIX_SIZE: int | None = None
@@ -129,12 +129,15 @@ def _decode_shared(payload: bytes):
 def _seed_decoded(payload: bytes, message) -> None:
     """Pre-seed the decode cache with the sender's own message object.
 
-    The codec is canonical and round-trips frozen dataclasses exactly, so
-    handing receivers the sender's (immutable) message object is
-    indistinguishable from decoding the payload — and turns the receive
-    path of every sealed message, unique replies included, into a dict hit.
+    The codec is canonical and round-trips well-typed frozen dataclasses
+    exactly, so handing receivers the sender's (immutable) message object
+    is indistinguishable from decoding the payload — and turns the
+    receive path of every sealed message, unique replies included, into a
+    dict hit. A message the decoder's field checks would reject (say a
+    faulty sender's ``WriteMsg(cid="a")``) is not seeded, so its
+    receivers decode it and reject it.
     """
-    if _is_frozen_dataclass(message.__class__):
+    if _is_frozen_dataclass(message.__class__) and DEFAULT_CODEC.conforms(message):
         if len(_DECODE_CACHE) >= _DECODE_CACHE_LIMIT:
             _DECODE_CACHE.clear()
         _DECODE_CACHE[id(payload)] = (payload, message)

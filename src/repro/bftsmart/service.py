@@ -13,11 +13,13 @@ import typing
 from dataclasses import dataclass
 
 from repro.wire import decode, encode
+from repro.wire.registry import install_direct_init
 
 if typing.TYPE_CHECKING:
     from repro.bftsmart.replica import ServiceReplica
 
 
+@install_direct_init
 @dataclass(frozen=True)
 class MessageContext:
     """Deterministic execution context for one operation.

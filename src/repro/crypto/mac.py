@@ -5,11 +5,14 @@ channels with HMACs rather than signatures on the fast path; consensus
 messages that must convince *all* replicas carry a MAC vector (one MAC per
 receiver), the classic PBFT authenticator construction.
 
-On the hot path an :class:`Authenticator` keeps one pre-keyed
-``hmac.new(key, ..., sha256)`` template per peer, so producing a tag is a
-``copy()/update()/digest()`` instead of a fresh key schedule (two extra
-SHA-256 compressions) per message — the cached-authenticator optimisation
-BFT-SMaRt itself ships.
+On the hot path an :class:`Authenticator` keeps, per peer, the SHA-256
+states after absorbing the key's inner and outer HMAC pads
+(:func:`hmac_sha256_pads`), so a tag costs two C-level state copies and
+no key schedule. That is the cached-authenticator optimisation BFT-SMaRt
+itself ships, minus the pure-Python ``hmac.HMAC`` wrapper: about 2 µs
+per tag instead of 3 µs for copying an ``hmac.HMAC`` template, and
+faster than one-shot ``hmac.digest`` (which reruns the key schedule).
+Tags are byte-identical to ``hmac.new(key, payload, sha256)``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,34 @@ _MAC_CACHE: dict[tuple, tuple] = {}
 _MAC_CACHE_LIMIT = 8192
 _MAC_STATS = PERF.stats["mac"]
 
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def hmac_sha256_pads(key: bytes):
+    """Return ``tag(payload) -> HMAC-SHA256(key, payload)`` (32 bytes).
+
+    The inner and outer SHA-256 states are keyed once here (RFC 2104:
+    the key padded to one block, XORed with ``0x36``/``0x5C``); every
+    tag then copies both, absorbs the payload and the inner digest, and
+    finishes. Output equals ``hmac.new(key, payload, hashlib.sha256)``.
+    """
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    inner_copy = hashlib.sha256(key.translate(_IPAD)).copy
+    outer_copy = hashlib.sha256(key.translate(_OPAD)).copy
+
+    def tag(payload) -> bytes:
+        inner = inner_copy()
+        inner.update(payload)
+        outer = outer_copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    return tag
+
 
 def clear_mac_cache() -> None:
     _MAC_CACHE.clear()
@@ -49,43 +80,31 @@ class Authenticator:
     def __init__(self, me: str, keystore: KeyStore) -> None:
         self.me = me
         self._keystore = keystore
-        #: peer -> pre-keyed HMAC template (key schedule already run).
-        self._templates: dict[str, hmac.HMAC] = {}
-        #: peer -> shared pair key (the KeyStore returns one object per
-        #: pair, so the memo key is shared with the peer's authenticator).
-        self._keys: dict[str, bytes] = {}
+        #: peer -> (shared pair key, pad-keyed HMAC function). The KeyStore
+        #: returns one key object per pair, so the memo key below is
+        #: shared with the peer's authenticator.
+        self._peers: dict[str, tuple] = {}
 
     def mac(self, peer: str, payload: bytes) -> bytes:
         """MAC for ``payload`` on the channel between ``self.me`` and peer."""
+        state = self._peers.get(peer)
+        if state is None:
+            key = self._keystore.pair_key(self.me, peer)
+            state = self._peers[peer] = (key, hmac_sha256_pads(key))
+        key, tag = state
         if PERF.mac_memo and type(payload) is bytes:
-            key = self._keys.get(peer)
-            if key is None:
-                key = self._keystore.pair_key(self.me, peer)
-                self._keys[peer] = key
             cache_key = (key, id(payload))
             hit = _MAC_CACHE.get(cache_key)
             if hit is not None and hit[0] is payload:
                 _MAC_STATS.hits += 1
                 return hit[1]
             _MAC_STATS.misses += 1
-            tag = self._compute(peer, key, payload)
+            result = tag(payload)[:MAC_SIZE]
             if len(_MAC_CACHE) >= _MAC_CACHE_LIMIT:
                 _MAC_CACHE.clear()
-            _MAC_CACHE[cache_key] = (payload, tag)
-            return tag
-        key = self._keystore.pair_key(self.me, peer)
-        return self._compute(peer, key, payload)
-
-    def _compute(self, peer: str, key: bytes, payload: bytes) -> bytes:
-        if PERF.mac_templates:
-            template = self._templates.get(peer)
-            if template is None:
-                template = hmac.new(key, digestmod=hashlib.sha256)
-                self._templates[peer] = template
-            mac = template.copy()
-            mac.update(payload)
-            return mac.digest()[:MAC_SIZE]
-        return hmac.new(key, payload, hashlib.sha256).digest()[:MAC_SIZE]
+            _MAC_CACHE[cache_key] = (payload, result)
+            return result
+        return tag(payload)[:MAC_SIZE]
 
     def verify(self, peer: str, payload: bytes, tag: bytes) -> bool:
         """Constant-time check of ``tag`` against the expected MAC."""

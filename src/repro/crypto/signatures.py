@@ -7,16 +7,25 @@ this module simulates an EUF-CMA signature with an HMAC under the signer's
 per-principal key: only the signer (and the trusted KeyStore, standing in
 for the PKI) can produce a tag that verifies. The substitution is recorded
 in DESIGN.md §4.
+
+Signing and verifying compute that HMAC with
+:func:`repro.crypto.mac.hmac_sha256_pads`: the key's inner and outer
+SHA-256 pad states are prepared once per principal (per signer in a
+:class:`Verifier`), so a tag never reruns the key schedule.
+:class:`Signature` gets the registry's direct ``__dict__``-filling
+``__init__`` (:func:`repro.wire.registry.install_direct_init`), because
+one is built per signed message.
 """
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
+from repro.crypto.mac import hmac_sha256_pads
 from repro.perf import PERF
+from repro.wire.registry import install_direct_init
 
 SIGNATURE_SIZE = 32
 
@@ -41,6 +50,7 @@ def _remember(key: bytes, payload: bytes, tag: bytes) -> None:
     _SIG_CACHE[(key, id(payload))] = (payload, tag)
 
 
+@install_direct_init
 @dataclass(frozen=True)
 class Signature:
     """A detached signature over some payload."""
@@ -59,16 +69,11 @@ class Signer:
     def __init__(self, me: str, keystore: KeyStore) -> None:
         self.me = me
         self._key = keystore.signing_key(me)
-        #: Pre-keyed HMAC template (key schedule run once, copied per sign).
-        self._template = hmac.new(self._key, digestmod=hashlib.sha256)
+        #: Pad-keyed HMAC function (key schedule run once).
+        self._tag = hmac_sha256_pads(self._key)
 
     def sign(self, payload: bytes) -> Signature:
-        if PERF.mac_templates:
-            mac = self._template.copy()
-            mac.update(payload)
-            tag = mac.digest()
-        else:
-            tag = hmac.new(self._key, payload, hashlib.sha256).digest()
+        tag = self._tag(payload)
         if PERF.mac_memo and type(payload) is bytes:
             _remember(self._key, payload, tag)
         return Signature(signer=self.me, tag=tag)
@@ -79,8 +84,8 @@ class Verifier:
 
     def __init__(self, keystore: KeyStore) -> None:
         self._keystore = keystore
-        #: signer -> pre-keyed HMAC template, same trick as Authenticator.
-        self._templates: dict[str, hmac.HMAC] = {}
+        #: signer -> pad-keyed HMAC function, same trick as Authenticator.
+        self._tags: dict[str, object] = {}
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
         key = self._keystore.signing_key(signature.signer)
@@ -88,16 +93,11 @@ class Verifier:
             hit = _SIG_CACHE.get((key, id(payload)))
             if hit is not None and hit[0] is payload:
                 return hmac.compare_digest(hit[1], signature.tag)
-        if PERF.mac_templates:
-            template = self._templates.get(signature.signer)
-            if template is None:
-                template = hmac.new(key, digestmod=hashlib.sha256)
-                self._templates[signature.signer] = template
-            mac = template.copy()
-            mac.update(payload)
-            expected = mac.digest()
-        else:
-            expected = hmac.new(key, payload, hashlib.sha256).digest()
+        tag = self._tags.get(signature.signer)
+        if tag is None:
+            tag = hmac_sha256_pads(key)
+            self._tags[signature.signer] = tag
+        expected = tag(payload)
         if PERF.mac_memo and type(payload) is bytes:
             _remember(key, payload, expected)
         return hmac.compare_digest(expected, signature.tag)

@@ -1,7 +1,7 @@
 """Hot-path optimisation switches and cache accounting.
 
 The caching layers introduced by the performance pass (string-chunk
-encoding cache, HMAC templates, digest LRU, serialize-once broadcast
+encoding cache, MAC memo, digest LRU, serialize-once broadcast
 with precomputed envelope sizes, shared decode of multicast payloads)
 are all *behaviour-invisible*: with a fixed seed, a run produces
 byte-identical encodings, digests and event orders whether they are on
@@ -45,13 +45,12 @@ class PerfSwitches:
     """Global on/off switches for every hot-path optimisation.
 
     All switches default to on. ``set_all(False)`` restores the
-    un-optimised code paths (fresh encodes per receiver, per-message key
-    schedules, per-send envelope sizing encodes, per-receiver decodes).
+    un-optimised code paths (fresh encodes per receiver, per-send
+    envelope sizing encodes, per-receiver decodes).
     """
 
     __slots__ = (
         "codec_cache",
-        "mac_templates",
         "mac_memo",
         "digest_cache",
         "serialize_once",
@@ -59,13 +58,11 @@ class PerfSwitches:
         "decode_share",
         "signing_cache",
         "fast_delivery",
-        "codec_scratch",
         "stats",
     )
 
     def __init__(self) -> None:
         self.codec_cache = True
-        self.mac_templates = True
         self.mac_memo = True
         self.digest_cache = True
         self.serialize_once = True
@@ -73,7 +70,6 @@ class PerfSwitches:
         self.decode_share = True
         self.signing_cache = True
         self.fast_delivery = True
-        self.codec_scratch = True
         self.stats: dict[str, CacheStats] = {
             "digest": CacheStats(),
             "mac": CacheStats(),
@@ -83,7 +79,6 @@ class PerfSwitches:
 
     def set_all(self, enabled: bool) -> None:
         self.codec_cache = enabled
-        self.mac_templates = enabled
         self.mac_memo = enabled
         self.digest_cache = enabled
         self.serialize_once = enabled
@@ -91,12 +86,10 @@ class PerfSwitches:
         self.decode_share = enabled
         self.signing_cache = enabled
         self.fast_delivery = enabled
-        self.codec_scratch = enabled
 
     def enabled_map(self) -> dict:
         return {
             "codec_cache": self.codec_cache,
-            "mac_templates": self.mac_templates,
             "mac_memo": self.mac_memo,
             "digest_cache": self.digest_cache,
             "serialize_once": self.serialize_once,
@@ -104,7 +97,6 @@ class PerfSwitches:
             "decode_share": self.decode_share,
             "signing_cache": self.signing_cache,
             "fast_delivery": self.fast_delivery,
-            "codec_scratch": self.codec_scratch,
         }
 
     def reset_stats(self) -> None:

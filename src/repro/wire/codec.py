@@ -9,14 +9,36 @@ that property is what reply voting and PROPOSE hashing rely on.
 Hot-path layout
 ---------------
 ``_encode`` dispatches on the *exact* class of the value through a
-per-codec table instead of walking an ``isinstance`` chain; dataclass and
-enum encoders are built once per class with their type-id prefix bytes
-precomputed and the field list pre-resolved from the registry.
-``encode_into`` appends to a caller-owned buffer, skipping the final
-``bytes(bytearray)`` copy, and the TLV chunk of each distinct string is
-cached. All caching is behaviour-invisible: the cached paths return
+per-codec table instead of walking an ``isinstance`` chain. Each
+registered dataclass gets an encoder, a decoder and a conformance check,
+each generated as straight-line Python source and compiled the first
+time the codec needs it (:meth:`Codec._compile`), with its type-id
+prefix precomputed and its field list read from the registry:
+
+- the **encoder** reads each field once and, guided by the field's
+  annotation, appends a precomputed 2-byte chunk for an ``int`` in 0..63,
+  the cached TLV chunk of a ``str``, an inline one-byte length header
+  for ``bytes`` under 128 bytes, and the tag of a ``bool``; any other
+  runtime class goes through the exact-class dispatch table;
+- the **decoder** handles full-length frames field by field with the same
+  inline fast paths, checks every field annotated exactly ``int``,
+  ``str``, ``bytes``, ``bool`` or ``float`` (or ``X | None``) — an
+  ``int`` field rejects ``bool``, a ``float`` field accepts ``int`` — and
+  fills the instance ``__dict__`` directly when the class has the
+  registry's direct ``__init__``. A mismatch is a :class:`DecodeError`.
+  Short frames written before trailing default fields existed take the
+  generic path (:meth:`Codec._decode_short`) with the same checks;
+- :meth:`Codec.conforms` tells whether a value would pass those checks
+  after a round trip, which is what lets the channel hand a sender's own
+  message object to receivers instead of a decode.
+
+``encode`` fills a fresh ``bytearray`` per call (a pooled buffer
+measured slower), ``encode_into`` appends to a caller-owned buffer,
+skipping the final ``bytes(bytearray)`` copy, and the TLV chunk of each
+distinct string is cached. All caching is behaviour-invisible: every path returns
 byte-identical output to a fresh encode (see
-``tests/test_wire_codec_caching.py``).
+``tests/test_wire_codec_caching.py`` and the recorded frames in
+``tests/test_wire_golden_frames.py``).
 
 Whole messages are deliberately not memoized: a memo stored on the
 message object forms a reference cycle (message -> encoding -> message)
@@ -28,12 +50,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import operator
 import struct
+import types
+import typing
 
 from repro.perf import PERF
 from repro.wire.errors import DecodeError, EncodeError
-from repro.wire.registry import GLOBAL_REGISTRY, TypeRegistry
+from repro.wire.registry import GLOBAL_REGISTRY, TypeRegistry, has_direct_init
 
 _NONE = 0x00
 _TRUE = 0x01
@@ -49,11 +72,71 @@ _DATACLASS = 0x0A
 _ENUM = 0x0B
 
 _FLOAT_STRUCT = struct.Struct(">d")
+#: Tag byte plus big-endian double: one pack for a whole float chunk.
+_TAGGED_FLOAT = struct.Struct(">Bd")
+
+#: Full TLV chunk of each int in 0..63 (tag + one sign-and-magnitude byte).
+_SMALL_INT_CHUNK = tuple(bytes((_INT, value << 1)) for value in range(0x40))
+#: Tag + one-byte length header of a bytes value shorter than 128 bytes.
+_SHORT_BYTES_HEADER = tuple(bytes((_BYTES, length)) for length in range(0x80))
+
+#: Field annotations the generated decoder checks, and the runtime
+#: classes each accepts (exact classes: ``bool`` is not an ``int``).
+_CHECKED_ANNOTATIONS = {
+    "int": (int,),
+    "str": (str,),
+    "bytes": (bytes,),
+    "bool": (bool,),
+    "float": (float, int),
+}
+_SCALAR_CLASSES = (int, str, bytes, bool, float)
+#: Classes that always survive a round trip (no fields to check).
+_PLAIN_CLASSES = frozenset((*_SCALAR_CLASSES, type(None)))
+
+
+def _annotation_names(annotation) -> list:
+    """The member names of a (possibly string) field annotation."""
+    if isinstance(annotation, str):
+        return [part.strip() for part in annotation.split("|")]
+    if isinstance(annotation, types.UnionType) or typing.get_origin(annotation) is typing.Union:
+        members = typing.get_args(annotation)
+    else:
+        members = (annotation,)
+    names = []
+    for member in members:
+        if member is type(None):
+            names.append("None")
+        elif member in _SCALAR_CLASSES:
+            names.append(member.__name__)
+        else:
+            names.append(repr(member))
+    return names
+
+
+def _field_kind(annotation) -> tuple:
+    """``(scalar name or None, accepted classes or None)`` of an annotation.
+
+    The scalar name picks the encoder/decoder fast path; the accepted
+    classes are the decode-time check (``None``: the field is unchecked).
+    """
+    names = _annotation_names(annotation)
+    optional = "None" in names
+    names = [name for name in names if name != "None"]
+    if len(names) != 1 or names[0] not in _CHECKED_ANNOTATIONS:
+        return None, None
+    accepted = _CHECKED_ANNOTATIONS[names[0]]
+    if optional:
+        accepted = accepted + (type(None),)
+    return names[0], accepted
 
 
 def _write_uvarint(out: bytearray, value: int) -> None:
     if value < 0x80:
         out.append(value)
+        return
+    if value < 0x4000:
+        out.append(value & 0x7F | 0x80)
+        out.append(value >> 7)
         return
     while True:
         byte = value & 0x7F
@@ -96,14 +179,101 @@ def _read_uvarint(data, pos: int) -> tuple[int, int]:
             raise DecodeError("varint too long")
 
 
+#: Generated-encoder fast path per scalar annotation (``{v}`` is the
+#: field value); every other runtime class takes the exact-class dispatch.
+_ENCODE_FAST = {
+    "int": (
+        "if {v}.__class__ is int:",
+        "    if 0 <= {v} < 64:",
+        "        out += small_int[{v}]",
+        "    else:",
+        "        enc_int(out, {v})",
+    ),
+    "str": (
+        "if {v}.__class__ is str:",
+        "    try:",
+        "        out += str_cache[{v}]",
+        "    except KeyError:",
+        "        enc_str(out, {v})",
+    ),
+    "bytes": (
+        "if {v}.__class__ is bytes:",
+        "    if len({v}) < 128:",
+        "        out += short_bytes[len({v})]",
+        "        out += {v}",
+        "    else:",
+        "        enc_bytes(out, {v})",
+    ),
+    "bool": (
+        "if {v} is True:",
+        "    out.append(0x01)",
+        "elif {v} is False:",
+        "    out.append(0x02)",
+    ),
+    "float": (
+        "if {v}.__class__ is float:",
+        "    out += tagged_float(0x04, {v})",
+    ),
+}
+_ENCODE_DISPATCH = ("encode_any(out, {v})",)
+
+#: Generated-decoder fast path per scalar annotation (``{v}`` is the
+#: field's local); anything else decodes generically and is then checked.
+_DECODE_FAST = {
+    "int": (
+        "if pos + 1 < n and data[pos] == 0x03 and data[pos + 1] < 0x80:",
+        "    raw = data[pos + 1]",
+        "    pos += 2",
+        "    {v} = -(raw >> 1) if raw & 1 else raw >> 1",
+    ),
+    "str": (
+        "if pos + 1 < n and data[pos] == 0x05 and data[pos + 1] < 0x80:",
+        "    end = pos + 2 + data[pos + 1]",
+        "    if end > n:",
+        "        raise DecodeError('truncated string')",
+        "    try:",
+        "        {v} = str(data[pos + 2:end], 'utf-8')",
+        "    except UnicodeDecodeError as exc:",
+        "        raise DecodeError(f'invalid utf-8: {{exc}}')",
+        "    pos = end",
+    ),
+    "bytes": (
+        "if pos + 1 < n and data[pos] == 0x06 and data[pos + 1] < 0x80:",
+        "    end = pos + 2 + data[pos + 1]",
+        "    if end > n:",
+        "        raise DecodeError('truncated bytes')",
+        "    {v} = bytes(data[pos + 2:end])",
+        "    pos = end",
+    ),
+    "bool": (
+        "if pos < n and (data[pos] == 0x01 or data[pos] == 0x02):",
+        "    {v} = data[pos] == 0x01",
+        "    pos += 1",
+    ),
+    "float": (
+        "if pos + 9 <= n and data[pos] == 0x04:",
+        "    {v} = unpack_float(data, pos + 1)[0]",
+        "    pos += 9",
+    ),
+}
+
+
+def _with_fallback(fast, fallback: list, var: str) -> list:
+    """Generated source: ``fast`` branch, else ``fallback``, for ``var``."""
+    if fast is None:
+        return ["    " + line.format(v=var) for line in fallback]
+    return [
+        *("    " + line.format(v=var) for line in fast),
+        "    else:",
+        *("        " + line.format(v=var) for line in fallback),
+    ]
+
+
 class Codec:
     """Encoder/decoder bound to a type registry."""
 
     def __init__(self, registry: TypeRegistry | None = None) -> None:
         self.registry = registry if registry is not None else GLOBAL_REGISTRY
-        # Reusable encode buffers (see encode()). Bounded so a one-off
-        # giant message cannot pin memory: oversized buffers are dropped.
-        self._scratch: list[bytearray] = []
         # Exact-type encoder dispatch. Scalar/container entries are
         # installed eagerly; dataclass and enum encoders are built on
         # first use (and on-the-fly for late registrations).
@@ -120,27 +290,22 @@ class Codec:
             tuple: self._enc_tuple,
             dict: self._enc_dict,
         }
-        # Per-dataclass constructors for decode (built on first use).
-        self._constructors: dict[type, object] = {}
+        # Generated per-dataclass decoders (keyed by wire type id) and
+        # conformance checks (keyed by class), built on first use.
+        self._decoders: dict[int, object] = {}
+        self._conformers: dict[type, object] = {}
 
     # -- public API ---------------------------------------------------------
 
     def encode(self, value) -> bytes:
-        # Steady-state encoding reuses a pooled bytearray (already grown
-        # to working-set size) instead of allocating and growing a fresh
-        # one per message; only the final immutable bytes() is new.
-        if PERF.codec_scratch:
-            scratch = self._scratch
-            out = scratch.pop() if scratch else bytearray()
-            try:
-                self._encode(out, value)
-                return bytes(out)
-            finally:
-                if len(scratch) < 8 and len(out) <= 65536:
-                    del out[:]
-                    scratch.append(out)
+        # A fresh bytearray per call: pooling encode buffers measured
+        # slower than CPython's over-allocating growth for every message
+        # size on the hot path (0.1-0.45 us more per encode).
+        encoder = self._encoders.get(value.__class__)
+        if encoder is None:
+            encoder = self._resolve_encoder(value)
         out = bytearray()
-        self._encode(out, value)
+        encoder(out, value)
         return bytes(out)
 
     def encode_into(self, out: bytearray, value) -> None:
@@ -158,11 +323,15 @@ class Codec:
         buffers are read through a ``memoryview`` window, so a frame
         sitting inside a larger receive buffer decodes without being
         copied out first (string/bytes payloads are materialized from
-        the buffer directly).
+        the buffer directly). Every malformed input raises
+        :class:`DecodeError` and nothing else.
         """
         if data.__class__ is not bytes:
             data = memoryview(data)
-        value, pos = self._decode(data, 0)
+        try:
+            value, pos = self._decode(data, 0)
+        except RecursionError:
+            raise DecodeError("values nested too deeply") from None
         if pos != len(data):
             raise DecodeError(f"{len(data) - pos} trailing bytes after value")
         return value
@@ -177,7 +346,42 @@ class Codec:
         """
         if data.__class__ is not bytes:
             data = memoryview(data)
-        return self._decode(data, pos)
+        try:
+            return self._decode(data, pos)
+        except RecursionError:
+            raise DecodeError("values nested too deeply") from None
+
+    def conforms(self, value) -> bool:
+        """Whether ``decode(encode(value))`` passes every field type check.
+
+        True for every scalar and container whose registered dataclasses
+        (at any depth) hold exactly the runtime classes their checked
+        fields accept. Conservative: a value whose field merely encodes
+        like an accepted class (a ``bytearray`` in a ``bytes`` field) is
+        reported as not conforming.
+        """
+        cls = value.__class__
+        if cls in _PLAIN_CLASSES:
+            return True
+        check = self._conformers.get(cls)
+        if check is not None:
+            return check(value)
+        if isinstance(value, (tuple, list)):
+            items = value
+        elif isinstance(value, dict):
+            items = [*value, *value.values()]
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            try:
+                return self._compile(cls, "conforms")(value)
+            except EncodeError:
+                return False
+        else:
+            return True
+        conforms = self.conforms
+        for item in items:
+            if item.__class__ not in _PLAIN_CLASSES and not conforms(item):
+                return False
+        return True
 
     # -- encoding -----------------------------------------------------------
 
@@ -213,7 +417,7 @@ class Codec:
         elif isinstance(value, enum.Enum):
             encoder = self._make_enum_encoder(cls)
         elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            encoder = self._make_dataclass_encoder(cls)
+            encoder = self._compile(cls, "enc")
         else:
             raise EncodeError(f"cannot encode {cls.__name__}: {value!r}")
         self._encoders[cls] = encoder
@@ -233,13 +437,15 @@ class Codec:
     def _enc_int(out: bytearray, value) -> None:
         out.append(_INT)
         # Sign-and-magnitude varint: supports arbitrary-size ints. The
-        # common small non-negative case is a single inlined byte.
-        if 0 <= value < 0x40:
-            out.append(value << 1)
-        elif value < 0:
-            _write_uvarint(out, ((-value) << 1) | 1)
+        # common one- and two-byte cases are inlined.
+        raw = value << 1 if value >= 0 else (-value) << 1 | 1
+        if raw < 0x80:
+            out.append(raw)
+        elif raw < 0x4000:
+            out.append(raw & 0x7F | 0x80)
+            out.append(raw >> 7)
         else:
-            _write_uvarint(out, value << 1)
+            _write_uvarint(out, raw)
 
     @staticmethod
     def _enc_float(out: bytearray, value) -> None:
@@ -273,27 +479,31 @@ class Codec:
 
     @staticmethod
     def _enc_bytes(out: bytearray, value) -> None:
-        out.append(_BYTES)
         length = len(value)
         if length < 0x80:
-            out.append(length)
+            out += _SHORT_BYTES_HEADER[length]
         else:
+            out.append(_BYTES)
             _write_uvarint(out, length)
         out += value
+
+    def _enc_items(self, out: bytearray, items) -> None:
+        encoders = self._encoders
+        for item in items:
+            encoder = encoders.get(item.__class__)
+            if encoder is None:
+                encoder = self._resolve_encoder(item)
+            encoder(out, item)
 
     def _enc_list(self, out: bytearray, value) -> None:
         out.append(_LIST)
         _write_uvarint(out, len(value))
-        encode_item = self._encode
-        for item in value:
-            encode_item(out, item)
+        self._enc_items(out, value)
 
     def _enc_tuple(self, out: bytearray, value) -> None:
         out.append(_TUPLE)
         _write_uvarint(out, len(value))
-        encode_item = self._encode
-        for item in value:
-            encode_item(out, item)
+        self._enc_items(out, value)
 
     def _enc_dict(self, out: bytearray, value) -> None:
         out.append(_DICT)
@@ -303,7 +513,7 @@ class Codec:
             encode_item(out, key)
             encode_item(out, item)
 
-    # Registered-type encoders --------------------------------------------
+    # Registered-type code ------------------------------------------------
 
     def _make_enum_encoder(self, cls: type):
         prefix = bytearray([_ENUM])
@@ -317,42 +527,106 @@ class Codec:
 
         return enc
 
-    def _make_dataclass_encoder(self, cls: type):
-        prefix = bytearray([_DATACLASS])
-        _write_uvarint(prefix, self.registry.id_of(cls))
+    def _compile(self, cls: type, part: str):
+        """Generate, install and return one of ``cls``'s per-type functions.
+
+        ``part`` is ``"enc"`` (takes ``(out, value)``), ``"dec"`` (takes
+        ``(data, pos)`` with ``pos`` just past the type id, returns
+        ``(instance, end)``) or ``"conforms"`` (takes a value). All three
+        sources come from one pass over the registry's fields, but only
+        the requested one is compiled: a type that is only ever encoded
+        never pays for its decoder.
+        """
+        type_id = self.registry.id_of(cls)
         fields = self.registry.fields_of(cls)
+        name = cls.__name__
+        prefix = bytearray([_DATACLASS])
+        _write_uvarint(prefix, type_id)
         _write_uvarint(prefix, len(fields))
-        prefix = bytes(prefix)
-        names = tuple(field.name for field in fields)
-        # attrgetter fetches every field in one C call, and the per-field
-        # encoder dispatch is inlined (same dict the _encode wrapper uses,
-        # so the encoding is identical — this just drops a Python frame
-        # per field on the hottest loop in the codec).
-        get_fields = (
-            operator.attrgetter(*names) if len(names) > 1 else None
-        )
-        encoders = self._encoders
-        resolve = self._resolve_encoder
-        encode_inner = self._encode
-
-        if get_fields is None:
-
-            def enc(out: bytearray, value) -> None:
-                out += prefix
-                if names:
-                    encode_inner(out, getattr(value, names[0]))
-
-            return enc
-
-        def enc(out: bytearray, value) -> None:
-            out += prefix
-            for item in get_fields(value):
-                encoder = encoders.get(item.__class__)
-                if encoder is None:
-                    encoder = resolve(item)
-                encoder(out, item)
-
-        return enc
+        namespace = {
+            "PREFIX": bytes(prefix),
+            "CLS": cls,
+            "NEW": object.__new__,
+            "encode_any": self._encode,
+            "enc_int": self._enc_int,
+            "enc_str": self._enc_str,
+            "enc_bytes": self._enc_bytes,
+            "small_int": _SMALL_INT_CHUNK,
+            "short_bytes": _SHORT_BYTES_HEADER,
+            "str_cache": _STR_ENC_CACHE,
+            "tagged_float": _TAGGED_FLOAT.pack,
+            "decode": self._decode,
+            "unpack_float": _FLOAT_STRUCT.unpack_from,
+            "short": self._decode_short,
+            "conforms_any": self.conforms,
+            "plain": _PLAIN_CLASSES,
+            "DecodeError": DecodeError,
+        }
+        enc = ["def enc(out, value):", "    out += PREFIX"]
+        # A field count of 128 or more is a multi-byte varint; such a
+        # class always takes the generic path (never the case today).
+        dec = [
+            "def dec(data, pos):",
+            "    n = len(data)",
+            "    if pos >= n:",
+            "        raise DecodeError('truncated varint')",
+            f"    if data[pos] != {len(fields) if len(fields) < 0x80 else -1}:",
+            "        return short(CLS, data, pos)",
+            "    pos += 1",
+        ]
+        checks = []
+        for index, field in enumerate(fields):
+            kind, accepted = _field_kind(field.type)
+            var = f"v{index}"
+            enc.append(f"    {var} = value.{field.name}")
+            enc += _with_fallback(_ENCODE_FAST.get(kind), _ENCODE_DISPATCH, var)
+            fallback = ["{v}, pos = decode(data, pos)"]
+            if accepted is None:
+                checks.append(
+                    f"(value.{field.name}.__class__ in plain"
+                    f" or conforms_any(value.{field.name}))"
+                )
+            else:
+                namespace[f"accepted_{index}"] = accepted
+                namespace[f"mismatch_{index}"] = f"{name}.{field.name}: expected {kind}, got "
+                fallback += [
+                    f"if {{v}}.__class__ not in accepted_{index}:",
+                    f"    raise DecodeError(mismatch_{index} + {{v}}.__class__.__name__)",
+                ]
+                checks.append(f"value.{field.name}.__class__ in accepted_{index}")
+            dec += _with_fallback(_DECODE_FAST.get(kind), fallback, var)
+        if has_direct_init(cls) and all(field.init for field in fields):
+            dec += ["    obj = NEW(CLS)", "    d = obj.__dict__"]
+            dec += [
+                f"    d[{field.name!r}] = v{index}" for index, field in enumerate(fields)
+            ]
+            if hasattr(cls, "__post_init__"):
+                dec += [
+                    "    try:",
+                    "        obj.__post_init__()",
+                    "    except (TypeError, ValueError) as exc:",
+                    f"        raise DecodeError(f'cannot construct {name}: {{exc}}')",
+                ]
+            dec.append("    return obj, pos")
+        else:
+            values = ", ".join(f"v{index}" for index in range(len(fields)))
+            dec += [
+                "    try:",
+                f"        return CLS({values}), pos",
+                "    except (TypeError, ValueError) as exc:",
+                f"        raise DecodeError(f'cannot construct {name}: {{exc}}')",
+            ]
+        conform = ["def conforms(value):", f"    return {' and '.join(checks) or 'True'}"]
+        source = {"enc": enc, "dec": dec, "conforms": conform}[part]
+        exec(compile("\n".join(source) + "\n", f"<wire-codec {name}.{part}>", "exec"), namespace)
+        function = namespace[part]
+        if part == "enc":
+            self._encoders[cls] = function
+        elif part == "dec":
+            self._decoders[type_id] = function
+        else:
+            self._conformers[cls] = function
+        return function
 
     # -- decoding -----------------------------------------------------------
 
@@ -411,36 +685,13 @@ class Codec:
             return bytes(data[pos : pos + length]), pos + length
         if tag == _DATACLASS:
             type_id, pos = _read_uvarint(data, pos)
-            cls = self.registry.type_of(type_id)
-            count, pos = _read_uvarint(data, pos)
-            fields = self.registry.fields_of(cls)
-            if count != len(fields):
-                if count > len(fields):
-                    raise DecodeError(
-                        f"{cls.__name__}: expected {len(fields)} fields, got {count}"
-                    )
-                # Backward compatibility: a frame written before trailing
-                # default fields were added (e.g. ClientRequest.trace_id)
-                # decodes by filling the missing tail from the defaults.
-                tail = self._default_tail(cls, count)
-            else:
-                tail = None
-            decode_inner = self._decode
-            values = []
-            append = values.append
-            for _ in range(count):
-                value, pos = decode_inner(data, pos)
-                append(value)
-            if tail is not None:
-                for kind, default in tail:
-                    append(default() if kind else default)
-            construct = self._constructors.get(cls)
-            if construct is None:
-                construct = self._make_constructor(cls)
-            try:
-                return construct(values), pos
-            except (TypeError, ValueError) as exc:
-                raise DecodeError(f"cannot construct {cls.__name__}: {exc}")
+            decoder = self._decoders.get(type_id)
+            if decoder is None:
+                cls = self.registry.type_of(type_id)
+                if not dataclasses.is_dataclass(cls):
+                    raise DecodeError(f"wire type id {type_id} is not a dataclass")
+                decoder = self._compile(cls, "dec")
+            return decoder(data, pos)
         if tag == _NONE:
             return None, pos
         if tag == _TRUE:
@@ -464,73 +715,59 @@ class Codec:
             for _ in range(count):
                 key, pos = self._decode(data, pos)
                 value, pos = self._decode(data, pos)
-                result[key] = value
+                try:
+                    result[key] = value
+                except TypeError as exc:
+                    raise DecodeError(f"invalid dict key: {exc}") from None
             return result, pos
         if tag == _ENUM:
             type_id, pos = _read_uvarint(data, pos)
             cls = self.registry.type_of(type_id)
+            if not isinstance(cls, enum.EnumMeta):
+                raise DecodeError(f"wire type id {type_id} is not an enum")
             raw, pos = self._decode(data, pos)
             try:
                 return cls(raw), pos
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DecodeError(f"invalid enum value for {cls.__name__}: {exc}")
         raise DecodeError(f"unknown tag byte {tag:#04x}")
 
-    def _default_tail(self, cls: type, count: int) -> list:
-        """Defaults for the trailing fields a short frame omitted.
+    def _decode_short(self, cls: type, data, pos: int):
+        """Decode a dataclass frame whose field count is not the full one.
 
-        Returns ``[(is_factory, default_or_factory), ...]`` for the
-        fields past ``count``; raises :class:`DecodeError` when any of
-        them has no default (the frame is then genuinely malformed).
+        A frame written before trailing default fields were added (e.g.
+        ``ClientRequest.trace_id``) decodes by filling the missing tail
+        from the defaults; a frame with more fields than the class, or
+        missing a field that has no default, is malformed. The decoded
+        fields get the same type checks as the generated decoder's.
         """
+        count, pos = _read_uvarint(data, pos)
         fields = self.registry.fields_of(cls)
-        tail = []
+        if count > len(fields):
+            raise DecodeError(f"{cls.__name__}: expected {len(fields)} fields, got {count}")
+        values = []
+        for field in fields[:count]:
+            value, pos = self._decode(data, pos)
+            accepted = _field_kind(field.type)[1]
+            if accepted is not None and value.__class__ not in accepted:
+                raise DecodeError(
+                    f"{cls.__name__}.{field.name}: got {value.__class__.__name__}"
+                )
+            values.append(value)
         for field in fields[count:]:
             if field.default is not dataclasses.MISSING:
-                tail.append((False, field.default))
+                values.append(field.default)
             elif field.default_factory is not dataclasses.MISSING:
-                tail.append((True, field.default_factory))
+                values.append(field.default_factory())
             else:
                 raise DecodeError(
                     f"{cls.__name__}: expected {len(fields)} fields, got "
                     f"{count}, and field {field.name!r} has no default"
                 )
-        return tail
-
-    def _make_constructor(self, cls: type):
-        """Build (and install) the decode-side constructor for ``cls``.
-
-        Plain generated-``__init__`` dataclasses without ``__post_init__``
-        or ``__slots__`` are built via ``__new__`` + a direct ``__dict__``
-        fill, skipping the frozen-dataclass ``object.__setattr__`` walk.
-        Anything fancier falls back to calling the class, preserving the
-        original semantics (including ``__post_init__`` validation).
-        """
-        fields = self.registry.fields_of(cls)
-        params = getattr(cls, "__dataclass_params__", None)
-        plain = (
-            params is not None
-            and params.init
-            and "__slots__" not in cls.__dict__
-            and not hasattr(cls, "__post_init__")
-            and all(field.init for field in fields)
-        )
-        if plain:
-            names = tuple(field.name for field in fields)
-            new = cls.__new__
-
-            def construct(values, _cls=cls, _names=names, _new=new):
-                obj = _new(_cls)
-                obj.__dict__.update(zip(_names, values))
-                return obj
-
-        else:
-
-            def construct(values, _cls=cls):
-                return _cls(*values)
-
-        self._constructors[cls] = construct
-        return construct
+        try:
+            return cls(*values), pos
+        except (TypeError, ValueError) as exc:
+            raise DecodeError(f"cannot construct {cls.__name__}: {exc}")
 
 
 #: Codec over the global registry; what the protocol stacks use.

@@ -6,6 +6,11 @@ registered under a stable numeric id; the codec serializes instances as
 — the decoder only ever instantiates classes that were registered, which
 is the property that makes deserialization of attacker-controlled bytes
 safe (unlike Java serialization, which the original systems used).
+
+Registering a frozen dataclass also replaces its generated ``__init__``
+with :func:`install_direct_init`'s, which stores the fields straight
+into the instance ``__dict__`` instead of one ``object.__setattr__``
+call per field.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ class TypeRegistry:
             self._by_type[cls] = type_id
             if dataclasses.is_dataclass(cls):
                 self._fields[cls] = tuple(dataclasses.fields(cls))
+                if cls.__dataclass_params__.frozen:
+                    install_direct_init(cls)
             return cls
 
         return decorator
@@ -66,6 +73,98 @@ class TypeRegistry:
             fields = tuple(dataclasses.fields(cls))
             self._fields[cls] = fields
         return fields
+
+
+class _FactoryDefault:
+    """Signature placeholder for a ``default_factory`` parameter."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _FactoryDefault()
+
+#: ``co_filename`` of every ``__init__`` :func:`install_direct_init` made.
+DIRECT_INIT_FILENAME = "<wire-init>"
+
+
+def has_direct_init(cls: type) -> bool:
+    """Whether ``cls.__init__`` is the direct ``__dict__`` fill."""
+    code = getattr(cls.__init__, "__code__", None)
+    return code is not None and code.co_filename == DIRECT_INIT_FILENAME
+
+
+def install_direct_init(cls: type) -> type:
+    """Give frozen dataclass ``cls`` an ``__init__`` that fills ``__dict__``.
+
+    The stock frozen ``__init__`` stores each field with
+    ``object.__setattr__``; this one keeps the same signature, defaults,
+    ``default_factory`` calls and ``__post_init__`` call, but writes the
+    instance dict directly (about 2x faster for six fields, at the cost
+    of materialising that dict: +64 B per instance). Frozen assignment,
+    ``eq``, ``hash``, ``repr`` and ``dataclasses.replace`` are unchanged.
+
+    Classes this cannot reproduce exactly are left alone: a hand-written
+    ``__init__``, ``__slots__``, ``InitVar``/``ClassVar`` pseudo-fields
+    or keyword-only fields.
+    """
+    init = cls.__dict__.get("__init__")
+    if (
+        init is None
+        or getattr(init, "__code__", None) is None
+        or init.__code__.co_filename != "<string>"
+        or "__slots__" in cls.__dict__
+        or len(cls.__dataclass_fields__) != len(dataclasses.fields(cls))
+    ):
+        return cls
+    # Local and global names follow the stock dataclass ``__dataclass_*__``
+    # convention, so they cannot shadow a field's parameter.
+    params, body = [], []
+    namespace: dict = {"__dataclass_factory__": _FACTORY}
+    for field in dataclasses.fields(cls):
+        if field.kw_only:
+            return cls
+        name = field.name
+        store = f"__dataclass_dict__[{name!r}] = "
+        if field.default_factory is not dataclasses.MISSING:
+            factory = f"__dataclass_factory_{name}__"
+            namespace[factory] = field.default_factory
+            if field.init:
+                params.append(f"{name}=__dataclass_factory__")
+                body.append(
+                    f"{store}{factory}() if {name} is __dataclass_factory__ else {name}"
+                )
+            else:
+                body.append(f"{store}{factory}()")
+            continue
+        default = f"__dataclass_default_{name}__"
+        if field.default is not dataclasses.MISSING:
+            namespace[default] = field.default
+        if not field.init:
+            if field.default is not dataclasses.MISSING:
+                body.append(f"{store}{default}")
+            continue
+        params.append(name if field.default is dataclasses.MISSING else f"{name}={default}")
+        body.append(f"{store}{name}")
+    if hasattr(cls, "__post_init__"):
+        body.append("__dataclass_self__.__post_init__()")
+    source = "def __init__(__dataclass_self__{}):\n{}\n".format(
+        "".join(", " + param for param in params),
+        "\n".join(
+            "    " + line
+            for line in ["__dataclass_dict__ = __dataclass_self__.__dict__", *body]
+        ),
+    )
+    exec(compile(source, DIRECT_INIT_FILENAME, "exec"), namespace)
+    function = namespace["__init__"]
+    function.__qualname__ = f"{cls.__qualname__}.__init__"
+    function.__module__ = cls.__module__
+    function.__doc__ = init.__doc__
+    function.__annotations__ = dict(init.__annotations__)
+    cls.__init__ = function
+    return cls
 
 
 #: The process-wide registry all protocol modules register into.
